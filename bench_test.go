@@ -286,14 +286,14 @@ func BenchmarkHashTreeVsNaive(b *testing.B) {
 
 // BenchmarkCountingBackend is the backend ablation on the paper's
 // T10.I4 workload class: 10k Quest transactions mined to k=3 at 1%
-// support across the hash-tree, vertical-bitmap and roaring counters.
+// support across the hash-tree and vertical-bitmap counters.
 func BenchmarkCountingBackend(b *testing.B) {
 	q, err := gen.NewQuest(gen.QuestConfig{}, 1998)
 	if err != nil {
 		b.Fatal(err)
 	}
 	src := apriori.Transactions(q.Transactions(10000))
-	for _, bk := range []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring} {
+	for _, bk := range []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap} {
 		b.Run(bk.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -338,13 +338,11 @@ func countingCoreDataset(n, nItems int, density float64) (apriori.Transactions, 
 	return txs, cands
 }
 
-// BenchmarkCountingCore pits the uncompressed bitmap against the
-// roaring-container index on the isolated counting kernel (index built
-// once, candidates counted per iteration), at a density where the flat
-// bitmap's density-blind AND over the full universe is mostly zeros
-// (sparse, 1/512) and at one where it is well used (dense, 1/8).
-// roaring-scalar counts through EachIntersection one candidate at a
-// time; roaring uses the batched container-major CountSets.
+// BenchmarkCountingCore times the bitmap index on the isolated
+// counting kernel (index built once, candidates counted per
+// iteration), at a density where its AND over the full universe is
+// mostly zeros (sparse, 1/512) and at one where it is well used
+// (dense, 1/8).
 func BenchmarkCountingCore(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -358,32 +356,10 @@ func BenchmarkCountingCore(b *testing.B) {
 	for _, sh := range shapes {
 		txs, cands := countingCoreDataset(sh.n, sh.items, sh.density)
 		bix := apriori.NewBitmapIndex(txs, nil)
-		rix := apriori.NewRoaringIndex(txs, nil)
 		b.Run(sh.name+"/bitmap", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = bix.CountSets(cands)
-			}
-		})
-		b.Run(sh.name+"/roaring", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = rix.CountSets(cands)
-			}
-		})
-		b.Run(sh.name+"/roaring-scalar", func(b *testing.B) {
-			b.ReportAllocs()
-			counts := make([]int, len(cands))
-			for i := 0; i < b.N; i++ {
-				rix.EachIntersection(cands, func(j int, acc *apriori.RoaringAcc) {
-					counts[j] = acc.Card()
-				})
-			}
-		})
-		b.Run(sh.name+"/roaring-parallel4", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = rix.CountSetsParallel(cands, 4)
 			}
 		})
 	}
@@ -420,15 +396,16 @@ func BenchmarkHoldTableWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkExtendVsRebuild is the incremental-maintenance ablation:
-// one new day arrives on a year of history — top up the hold table vs
-// recount everything.
-func BenchmarkExtendVsRebuild(b *testing.B) {
+// BenchmarkMaintainVsRebuild is the incremental-maintenance ablation:
+// one new day arrives on a year of history — delta-maintain the hold
+// table over the dirty granules vs recount everything.
+func BenchmarkMaintainVsRebuild(b *testing.B) {
 	tbl, _, err := bench.StandardDataset(bench.StandardConfig{TxPerDay: 50, Seed: 1998})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := bench.Cfg()
+	epoch := tbl.Epoch()
 	h, err := core.BuildHoldTable(tbl, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -439,9 +416,13 @@ func BenchmarkExtendVsRebuild(b *testing.B) {
 	for i := 0; i < 50; i++ {
 		tbl.Append(day.Add(time.Duration(i)*time.Minute), itemset.New(itemset.Item(i%30), itemset.Item(30+i%30)))
 	}
-	b.Run("extend", func(b *testing.B) {
+	dirty, _, ok := tbl.DirtySince(timegran.Day, epoch)
+	if !ok {
+		b.Fatal("change log does not cover the appended day")
+	}
+	b.Run("maintain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := h.Extend(tbl); err != nil {
+			if _, err := h.Maintain(tbl, dirty); err != nil {
 				b.Fatal(err)
 			}
 		}

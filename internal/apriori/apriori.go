@@ -27,16 +27,13 @@ type Config struct {
 	// Fanout and LeafSize tune the hash tree; 0 selects the defaults.
 	Fanout, LeafSize int
 	// Backend selects the support-counting strategy; the zero value
-	// (BackendAuto) picks hash tree or bitmap from the data shape.
+	// (BackendAuto) counts with bitmap unless its index would exceed
+	// the memory bound (see Predict).
 	Backend Backend
 	// Workers parallelises the bitmap backend's candidate counting
 	// across a worker pool; 0 or 1 counts sequentially. Counts are
 	// identical at any worker count.
 	Workers int
-	// NaiveCounting replaces the hash tree with the direct per-candidate
-	// subset test. Deprecated: set Backend to BackendNaive instead; the
-	// flag is honoured only while Backend is BackendAuto.
-	NaiveCounting bool
 	// Tracer receives per-pass telemetry (candidates generated, pruned,
 	// counted, frequent survivors, backend, wall time). Nil disables
 	// tracing at no measurable cost; see internal/obs.
@@ -210,12 +207,9 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 		res.counts[ic.Set.Key()] = ic.Count
 	}
 
-	counter, backend, pred, err := cfg.newCounter(src, l1)
+	counter, backend, err := cfg.newCounter(src, l1)
 	if err != nil {
 		return nil, err
-	}
-	if trace {
-		tr.Gauge(obs.MetricCountingPredictedCost, pred.Cost(backend))
 	}
 	var countingNS int64
 	prev := l1

@@ -106,11 +106,11 @@ func TestMineErrors(t *testing.T) {
 func TestMineNaiveMatchesHashTree(t *testing.T) {
 	src := randomTransactions(rand.New(rand.NewSource(7)), 400, 40, 12)
 	for _, ms := range []float64{0.01, 0.05, 0.1} {
-		a, err := Mine(src, Config{MinSupport: ms})
+		a, err := Mine(src, Config{MinSupport: ms, Backend: BackendHashTree})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Mine(src, Config{MinSupport: ms, NaiveCounting: true})
+		b, err := Mine(src, Config{MinSupport: ms, Backend: BackendNaive})
 		if err != nil {
 			t.Fatal(err)
 		}

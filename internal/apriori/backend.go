@@ -13,8 +13,8 @@ import (
 type Backend int
 
 const (
-	// BackendAuto picks hash tree or bitmap per run from the data
-	// shape (see ChooseAuto).
+	// BackendAuto resolves per run through Predict: bitmap, or the hash
+	// tree when the bitmap index would not fit.
 	BackendAuto Backend = iota
 	// BackendNaive tests every candidate against every transaction; it
 	// is the reference the others are property-tested against.
@@ -25,10 +25,9 @@ const (
 	// BackendBitmap is the vertical representation: per-item TID
 	// bitmaps intersected with word-parallel AND + popcount.
 	BackendBitmap
-	// BackendRoaring is the compressed vertical representation:
-	// per-item roaring bitmaps (array / bitmap / run containers)
-	// intersected per container pair, with batched container-major
-	// counting over same-prefix candidate runs.
+	// BackendRoaring names the removed compressed-container backend.
+	// Deprecated: it resolves to BackendBitmap before any counter is
+	// built; ParseBackend maps "roaring" to BackendBitmap.
 	BackendRoaring
 )
 
@@ -62,17 +61,11 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendNaive, nil
 	case "hashtree", "tree":
 		return BackendHashTree, nil
-	case "bitmap", "vertical", "eclat":
+	case "bitmap", "vertical", "eclat", "roaring", "compressed":
 		return BackendBitmap, nil
-	case "roaring", "compressed":
-		return BackendRoaring, nil
 	}
-	return 0, fmt.Errorf("apriori: unknown counting backend %q (want auto, naive, hashtree, bitmap or roaring)", s)
+	return 0, fmt.Errorf("apriori: unknown counting backend %q (want auto, naive, hashtree or bitmap)", s)
 }
-
-// maxBitmapBytes caps the memory the cost model will spend on a flat
-// bitmap index before ruling that backend out.
-const maxBitmapBytes = 512 << 20
 
 // Counter counts the support of one level of equal-length candidates
 // against a fixed transaction source. Mine builds one Counter per run
@@ -121,105 +114,36 @@ func (c *bitmapCounter) CountLevel(cands []itemset.Set, k int) ([]int, error) {
 	return c.ix.CountSetsParallel(cands, c.workers), nil
 }
 
-type roaringCounter struct {
-	src     Source
-	keep    map[itemset.Item]bool
-	workers int
-
-	once sync.Once
-	ix   *RoaringIndex
-}
-
-func (c *roaringCounter) CountLevel(cands []itemset.Set, k int) ([]int, error) {
-	c.once.Do(func() { c.ix = NewRoaringIndex(c.src, c.keep) })
-	return c.ix.CountSetsParallel(cands, c.workers), nil
-}
-
-// resolvedBackend maps the configured backend through the legacy
-// NaiveCounting flag.
-func (c Config) resolvedBackend() Backend {
-	if c.Backend != BackendAuto {
-		return c.Backend
-	}
-	if c.NaiveCounting {
-		return BackendNaive
-	}
-	return BackendAuto
-}
-
 // newCounter builds the counter for src given the level-1 result: l1
 // carries the frequent 1-itemsets with their counts, from which the
-// vertical backends index only items that can appear in a candidate
-// and the cost model builds its exact density histogram. The resolved
-// backend and the full cost prediction are returned alongside so the
-// caller can report both what ran and what the model expected.
-func (c Config) newCounter(src Source, l1 []ItemsetCount) (Counter, Backend, *Prediction, error) {
-	b := c.resolvedBackend()
-	if !b.Valid() {
-		return nil, b, nil, fmt.Errorf("apriori: invalid counting backend %d", int(b))
+// backend is resolved and the bitmap index keeps only items that can
+// appear in a candidate. The resolved backend is returned alongside so
+// the caller can report what ran.
+func (c Config) newCounter(src Source, l1 []ItemsetCount) (Counter, Backend, error) {
+	if !c.Backend.Valid() {
+		return nil, c.Backend, fmt.Errorf("apriori: invalid counting backend %d", int(c.Backend))
 	}
 	stats := CountStats{N: src.Len(), Granules: 1}
 	for _, ic := range l1 {
 		stats.AddItem(ic.Count)
 	}
-	pred := Predict(stats)
-	if b == BackendAuto {
-		b = pred.Choice
-	} else {
-		pred.Choice = b
-	}
+	b := c.Backend.Resolve(stats)
 	switch b {
 	case BackendNaive:
-		return naiveCounter{src: src}, b, &pred, nil
+		return naiveCounter{src: src}, b, nil
 	case BackendBitmap:
-		return &bitmapCounter{src: src, keep: keepItems(l1), workers: c.Workers}, b, &pred, nil
-	case BackendRoaring:
-		return &roaringCounter{src: src, keep: keepItems(l1), workers: c.Workers}, b, &pred, nil
+		return &bitmapCounter{src: src, keep: keepItems(l1), workers: c.Workers}, b, nil
 	default:
-		return hashTreeCounter{src: src, fanout: c.Fanout, leaf: c.LeafSize}, b, &pred, nil
+		return hashTreeCounter{src: src, fanout: c.Fanout, leaf: c.LeafSize}, b, nil
 	}
 }
 
 // keepItems collects the frequent items of a level-1 result, the
-// ingest filter of the vertical index builders.
+// ingest filter of the bitmap index.
 func keepItems(l1 []ItemsetCount) map[itemset.Item]bool {
 	keep := make(map[itemset.Item]bool, len(l1))
 	for _, ic := range l1 {
 		keep[ic.Set[0]] = true
 	}
 	return keep
-}
-
-// NewCounter resolves cfg's backend for src and returns a ready
-// counter. Unlike the internal path used by Mine, an auto backend here
-// decides from one statistics scan of the source, since no level-1
-// result is available yet.
-func NewCounter(src Source, cfg Config) (Counter, error) {
-	b := cfg.resolvedBackend()
-	if !b.Valid() {
-		return nil, fmt.Errorf("apriori: invalid counting backend %d", int(b))
-	}
-	if b == BackendAuto {
-		items := make(map[itemset.Item]int)
-		src.ForEach(func(tx itemset.Set) {
-			for _, x := range tx {
-				items[x]++
-			}
-		})
-		stats := CountStats{N: src.Len(), Granules: 1}
-		for _, count := range items {
-			stats.AddItem(count)
-		}
-		b, _ = ChooseBackend(stats)
-	}
-	switch b {
-	case BackendNaive:
-		return naiveCounter{src: src}, nil
-	case BackendBitmap:
-		return &bitmapCounter{src: src, workers: cfg.Workers}, nil
-	case BackendRoaring:
-		return &roaringCounter{src: src, workers: cfg.Workers}, nil
-	default:
-		return hashTreeCounter{src: src, fanout: cfg.Fanout, leaf: cfg.LeafSize}, nil
-	}
 }

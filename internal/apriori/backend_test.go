@@ -17,9 +17,9 @@ func TestParseBackend(t *testing.T) {
 		"bitmap":     BackendBitmap,
 		"ECLAT":      BackendBitmap,
 		"vertical":   BackendBitmap,
-		"roaring":    BackendRoaring,
-		"ROARING":    BackendRoaring,
-		"compressed": BackendRoaring,
+		"roaring":    BackendBitmap,
+		"ROARING":    BackendBitmap,
+		"compressed": BackendBitmap,
 	}
 	for in, want := range cases {
 		got, err := ParseBackend(in)
@@ -30,7 +30,7 @@ func TestParseBackend(t *testing.T) {
 	if _, err := ParseBackend("quantum"); err == nil {
 		t.Error("ParseBackend accepted an unknown backend")
 	}
-	for b := BackendAuto; b <= BackendRoaring; b++ {
+	for b := BackendAuto; b <= BackendBitmap; b++ {
 		rt, err := ParseBackend(b.String())
 		if err != nil || rt != b {
 			t.Errorf("round trip of %v failed: %v, %v", b, rt, err)

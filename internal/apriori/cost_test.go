@@ -1,164 +1,127 @@
 package apriori
 
-// Cost-model tests: the model's job is ranking, not absolute accuracy,
-// so the assertions pin the picks on archetypal table shapes and the
-// structural invariants (bucketing, monotonicity, guard rails) rather
-// than exact word-op figures.
+// Backend-rule tests: bitmap everywhere, the hash tree only once the
+// frequent-item bitmap index would exceed maxBitmapBytes.
 
 import "testing"
 
-func TestDensityBucket(t *testing.T) {
-	cases := []struct {
-		count, n, want int
-	}{
-		{100, 100, 0},  // density 1 → bucket 0
-		{60, 100, 0},   // > 1/2
-		{50, 100, 1},   // exactly 1/2 is the top of (1/4, 1/2]
-		{26, 100, 1},   // (1/4, 1/2]
-		{13, 100, 2},   // (1/8, 1/4]
-		{1, 1 << 20, densityBuckets - 1}, // clamped to last bucket
-		{0, 100, densityBuckets - 1},     // degenerate
-		{5, 0, densityBuckets - 1},       // degenerate
-		{200, 100, 0},                    // count clamped to n
+// statsOf builds CountStats for items distinct items of count
+// occurrences each over n transactions.
+func statsOf(n, items, count int) CountStats {
+	s := CountStats{N: n, Granules: 1}
+	for i := 0; i < items; i++ {
+		s.AddItem(count)
 	}
-	for _, c := range cases {
-		if got := densityBucket(c.count, c.n); got != c.want {
-			t.Errorf("densityBucket(%d, %d) = %d, want %d", c.count, c.n, got, c.want)
-		}
-	}
+	return s
 }
 
 func TestCountStatsAddItem(t *testing.T) {
 	s := CountStats{N: 1000}
-	s.AddItem(600) // bucket 0
-	s.AddItem(300) // bucket 1
-	s.AddItem(2)   // deep bucket
+	s.AddItem(600)
+	s.AddItem(300)
+	s.AddItem(2)
 	if s.Items != 3 || s.Occurrences != 902 {
 		t.Fatalf("Items=%d Occurrences=%d, want 3, 902", s.Items, s.Occurrences)
 	}
-	if s.DensityHist[0] != 1 || s.DensityHist[1] != 1 {
-		t.Fatalf("histogram = %v, want one item in each of buckets 0 and 1", s.DensityHist)
-	}
-	sum := 0
-	for _, c := range s.DensityHist {
-		sum += c
-	}
-	if sum != s.Items {
-		t.Fatalf("histogram sums to %d, want Items=%d", sum, s.Items)
+	if got, want := s.bitmapBytes(), int64(3*16*8); got != want {
+		t.Fatalf("bitmapBytes = %d, want %d (3 items × 16 words × 8 bytes)", got, want)
 	}
 }
 
-// denseStats and sparseStats build archetypal shapes: many transactions
-// with items either near density 1/4 (dense) or near 1/4096 (sparse).
-func denseStats(n, items int) CountStats {
-	s := CountStats{N: n, Granules: 1}
-	for i := 0; i < items; i++ {
-		s.AddItem(n / 4)
+func TestPredict(t *testing.T) {
+	// A bound-sized universe: 2^26 rows is 2^20 words, 8 MiB per item,
+	// so 64 items fill maxBitmapBytes exactly.
+	const boundN = 1 << 26
+	cases := []struct {
+		name  string
+		stats CountStats
+		want  Backend
+	}{
+		// 365 days × 400 tx with ~160 frequent items: the benchmark's
+		// s4 shape (|T|=4).
+		{"realistic", statsOf(365*400, 160, 365*400/40), BackendBitmap},
+		{"at the bound", statsOf(boundN, 64, 1<<20), BackendBitmap},
+		{"one item past the bound", statsOf(boundN, 65, 1<<20), BackendHashTree},
+		{"one row past the bound", statsOf(boundN+1, 64, 1<<20), BackendHashTree},
 	}
-	return s
+	for _, c := range cases {
+		if got := Predict(c.stats); got != c.want {
+			t.Errorf("%s: Predict(%+v) = %v, want %v (index %d bytes, bound %d)",
+				c.name, c.stats, got, c.want, c.stats.bitmapBytes(), maxBitmapBytes)
+		}
+	}
 }
 
-func sparseStats(n, items int) CountStats {
-	s := CountStats{N: n, Granules: 1}
-	for i := 0; i < items; i++ {
-		s.AddItem(n / 4096)
+// wantAutoPick checks that both Predict and an auto backend resolve a
+// run shaped like s to want.
+func wantAutoPick(t *testing.T, name string, s CountStats, want Backend) {
+	t.Helper()
+	if got := Predict(s); got != want {
+		t.Errorf("%s: Predict(%+v) = %v, want %v", name, s, got, want)
 	}
-	return s
+	if got := BackendAuto.Resolve(s); got != want {
+		t.Errorf("%s: auto resolved %+v to %v, want %v", name, s, got, want)
+	}
 }
 
 func TestChooseBackendDense(t *testing.T) {
-	got, costs := ChooseBackend(denseStats(1<<17, 64))
-	if got != BackendBitmap {
-		t.Errorf("dense table chose %v, want bitmap (costs %v)", got, costs)
-	}
+	// Items at density 1/4: the shape bitmap counting was built for.
+	wantAutoPick(t, "dense", statsOf(1<<17, 64, 1<<15), BackendBitmap)
 }
 
 func TestChooseBackendSparse(t *testing.T) {
-	got, costs := ChooseBackend(sparseStats(1<<20, 256))
-	if got != BackendRoaring {
-		t.Errorf("sparse table chose %v, want roaring (costs %v)", got, costs)
-	}
+	// Items at density 1/4096 once went to the roaring backend; the
+	// flat bitmap now counts them too.
+	wantAutoPick(t, "sparse", statsOf(1<<20, 256, 1<<8), BackendBitmap)
 }
 
 func TestChooseBackendGuards(t *testing.T) {
-	// Tiny inputs and empty item sets short-circuit to the hash tree.
-	if got, _ := ChooseBackend(CountStats{N: 10}); got != BackendHashTree {
-		t.Errorf("tiny table chose %v, want hashtree", got)
-	}
-	if got, _ := ChooseBackend(CountStats{N: 1 << 20}); got != BackendHashTree {
-		t.Errorf("empty item set chose %v, want hashtree", got)
-	}
+	// Tiny and item-less runs need no special case: their index is
+	// small, so auto resolves them to bitmap.
+	wantAutoPick(t, "tiny n", statsOf(32, 5, 20), BackendBitmap)
+	wantAutoPick(t, "no items", CountStats{N: 1 << 20}, BackendBitmap)
+	wantAutoPick(t, "empty", CountStats{}, BackendBitmap)
 	// naive is never an auto pick, whatever the shape.
-	for _, s := range []CountStats{denseStats(1<<16, 8), sparseStats(1<<16, 8)} {
-		if got, _ := ChooseBackend(s); got == BackendNaive {
+	for _, s := range []CountStats{
+		statsOf(1<<16, 8, 1<<14), statsOf(1<<16, 8, 16), statsOf(1<<28, 2000, 1<<20),
+	} {
+		if got := BackendAuto.Resolve(s); got == BackendNaive {
 			t.Errorf("auto picked naive for %+v", s)
 		}
 	}
 }
 
-func TestPredictCostsCoverAllBackends(t *testing.T) {
-	pred := Predict(denseStats(1<<16, 32))
-	seen := map[Backend]bool{}
-	for _, c := range pred.Costs {
-		if c.Cost < 0 {
-			t.Errorf("negative cost for %v: %g", c.Backend, c.Cost)
-		}
-		seen[c.Backend] = true
-	}
-	for _, b := range []Backend{BackendNaive, BackendHashTree, BackendBitmap, BackendRoaring} {
-		if !seen[b] {
-			t.Errorf("no predicted cost for %v", b)
-		}
-		if b != BackendAuto && pred.Cost(b) <= 0 {
-			t.Errorf("Prediction.Cost(%v) = %g, want > 0", b, pred.Cost(b))
-		}
-	}
-	if pred.Cost(BackendAuto) != 0 {
-		t.Errorf("Prediction.Cost(auto) = %g, want 0 (not costed)", pred.Cost(BackendAuto))
-	}
-}
-
-func TestRoaringTracksDensity(t *testing.T) {
-	// The roaring prediction must fall as the same table gets sparser;
-	// the uncompressed bitmap's per-candidate term must not.
-	n := 1 << 18
-	var prev float64
-	for i, count := range []int{n / 4, n / 64, n / 1024, n / 16384} {
+func TestChooseAutoLegacy(t *testing.T) {
+	// The aggregate shapes the removed ChooseAuto entry point took
+	// (transactions, items, occurrences) still resolve: the dense one
+	// to bitmap and the tiny one, once the hash tree's, to bitmap.
+	agg := func(n, items int, occ int64) CountStats {
 		s := CountStats{N: n, Granules: 1}
-		for j := 0; j < 64; j++ {
-			s.AddItem(count)
+		for i := 0; i < items; i++ {
+			s.AddItem(int(occ / int64(items)))
 		}
-		p := Predict(s)
-		r := p.Cost(BackendRoaring)
-		if i > 0 && r >= prev {
-			t.Errorf("roaring cost did not fall with density: count=%d cost=%g prev=%g", count, r, prev)
-		}
-		prev = r
+		return s
 	}
+	wantAutoPick(t, "legacy dense", agg(1<<17, 64, int64(1<<17)*64/4), BackendBitmap)
+	wantAutoPick(t, "legacy tiny", agg(32, 5, 96), BackendBitmap)
 }
 
 func TestBitmapCostCapacityGuard(t *testing.T) {
 	// A universe whose bitmap index would exceed maxBitmapBytes must
-	// price bitmap out of contention entirely.
-	s := CountStats{N: 1 << 28, Granules: 1}
-	for i := 0; i < 2000; i++ {
-		s.AddItem(1 << 20)
+	// resolve auto to the hash tree; a forced backend runs as given.
+	s := statsOf(1<<28, 2000, 1<<20)
+	if s.bitmapBytes() <= maxBitmapBytes {
+		t.Fatalf("fixture index %d bytes does not exceed the bound", s.bitmapBytes())
 	}
-	p := Predict(s)
-	if p.Choice == BackendBitmap {
-		t.Errorf("oversized bitmap index still chosen (cost %g)", p.Cost(BackendBitmap))
+	if got := BackendAuto.Resolve(s); got != BackendHashTree {
+		t.Errorf("oversized auto resolved to %v, want hashtree", got)
 	}
-	if p.Cost(BackendBitmap) < 1e300 {
-		t.Errorf("oversized bitmap cost = %g, want ~inf", p.Cost(BackendBitmap))
+	for _, b := range []Backend{BackendNaive, BackendHashTree, BackendBitmap} {
+		if got := b.Resolve(s); got != b {
+			t.Errorf("forced %v resolved to %v", b, got)
+		}
 	}
-}
-
-func TestChooseAutoLegacy(t *testing.T) {
-	// The aggregate-only entry point still resolves both regimes.
-	if got := ChooseAuto(1<<17, 64, int64(1<<17)*64/4); got != BackendBitmap {
-		t.Errorf("legacy dense pick = %v, want bitmap", got)
-	}
-	if got := ChooseAuto(32, 5, 96); got != BackendHashTree {
-		t.Errorf("legacy tiny pick = %v, want hashtree", got)
+	if got := BackendRoaring.Resolve(s); got != BackendBitmap {
+		t.Errorf("roaring resolved to %v, want bitmap", got)
 	}
 }

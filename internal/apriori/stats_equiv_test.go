@@ -50,7 +50,12 @@ func TestMineStatsInvariantsAcrossBackends(t *testing.T) {
 		stats *obs.MineStats
 	}
 	var runs []run
+	// The deprecated roaring name must count with bitmap.
 	for _, backend := range []Backend{BackendHashTree, BackendBitmap, BackendRoaring} {
+		ran := backend
+		if backend == BackendRoaring {
+			ran = BackendBitmap
+		}
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("%v/workers=%d", backend, workers)
 			collect := obs.NewCollectTracer()
@@ -63,8 +68,13 @@ func TestMineStatsInvariantsAcrossBackends(t *testing.T) {
 			}
 			st := collect.Stats()
 			checkStatsInvariants(t, label, st, res)
-			if st.Backend != backend.String() {
-				t.Errorf("%s: stats backend = %q", label, st.Backend)
+			for _, l := range st.Levels {
+				if l.Level >= 2 && l.Backend != ran.String() {
+					t.Errorf("%s: pass L%d backend = %q, want %v", label, l.Level, l.Backend, ran)
+				}
+			}
+			if st.Backend != ran.String() {
+				t.Errorf("%s: stats backend = %q, want %v", label, st.Backend, ran)
 			}
 			runs = append(runs, run{label: label, stats: st})
 		}

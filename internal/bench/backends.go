@@ -22,8 +22,8 @@ var (
 // E11CountingBackends is the counting-backend ablation: flat Apriori
 // over Quest-class data across transaction length (T), pattern length
 // (I), database size (D) and minimum support, timing the classic hash
-// tree against the vertical TID-bitmap backend and its compressed
-// roaring variant, reporting heap allocations. The itemsets column is
+// tree against the vertical TID-bitmap backend, reporting heap
+// allocations. The itemsets column is
 // the cross-check: all backends must find exactly as many frequent
 // itemsets.
 func E11CountingBackends(seed int64) (Table, error) {
@@ -37,7 +37,7 @@ func E11CountingBackends(seed int64) (Table, error) {
 		{t: 15, i: 6, d: 10_000},
 	}
 	supports := []float64{0.02, 0.01, 0.005}
-	backends := []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring}
+	backends := []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap}
 
 	t := Table{
 		ID:     "E11",

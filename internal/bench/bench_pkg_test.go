@@ -158,9 +158,13 @@ func TestE2E3E4SmokeSmall(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
+	// e1..e17 without e14, the removed counting density sweep.
 	ids := ExperimentIDs()
-	if len(ids) != 17 {
+	if len(ids) != 16 {
 		t.Fatalf("ids = %v", ids)
+	}
+	if Experiments["e14"] != nil {
+		t.Error("e14 is still registered")
 	}
 	for _, id := range ids {
 		if Experiments[id] == nil {

@@ -410,7 +410,6 @@ var Experiments = map[string]func() (Table, error){
 	"e11": func() (Table, error) { return E11CountingBackends(1998) },
 	"e12": func() (Table, error) { return E12InteractiveReplay(StandardConfig{TxPerDay: 50}) },
 	"e13": func() (Table, error) { return E13ConcurrentSessions(StandardConfig{TxPerDay: 50}) },
-	"e14": func() (Table, error) { return E14DensitySweep(1998) },
 	"e15": func() (Table, error) { return E15AppendDelta(StandardConfig{TxPerDay: 50}) },
 	"e16": func() (Table, error) { return E16Durability(StandardConfig{}) },
 	"e17": func() (Table, error) { return E17ContinuousLatency(1998) },
@@ -418,5 +417,5 @@ var Experiments = map[string]func() (Table, error){
 
 // ExperimentIDs returns the ids in run order.
 func ExperimentIDs() []string {
-	return []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17"}
+	return []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e15", "e16", "e17"}
 }

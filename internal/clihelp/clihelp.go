@@ -24,7 +24,7 @@ import (
 // Flag usage strings, shared verbatim by every binary that registers
 // the flag.
 const (
-	backendUsage    = "counting backend: auto, naive, hashtree, bitmap or roaring"
+	backendUsage    = "counting backend: auto, naive, hashtree or bitmap (roaring is an alias for bitmap)"
 	workersUsage    = "parallel counting workers (0 = sequential)"
 	timeoutUsage    = "abort any single statement after this long, e.g. 30s (0 = no limit)"
 	cacheUsage      = "hold-table cache budget in MB (0 = disable caching)"
@@ -153,9 +153,16 @@ func (f *MiningFlags) Backend() (apriori.Backend, error) {
 	return apriori.ParseBackend(f.BackendName)
 }
 
-// CacheBytes converts -cache to the byte budget NewHoldCache expects
-// (0 disables caching).
-func (f *MiningFlags) CacheBytes() int64 { return int64(f.CacheMB) << 20 }
+// CacheBytes converts -cache to a hold-table cache budget in bytes.
+// -cache 0 (or below) disables caching and yields a negative budget,
+// which both NewHoldCache and server.Config read as "no cache" — a
+// zero budget would mean "default" to server.Config.
+func (f *MiningFlags) CacheBytes() int64 {
+	if f.CacheMB <= 0 {
+		return -1
+	}
+	return int64(f.CacheMB) << 20
+}
 
 // StatementContext applies -timeout to parent: with a timeout it
 // returns a deadline context, without one it returns parent and a

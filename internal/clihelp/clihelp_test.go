@@ -77,7 +77,9 @@ func TestBackendResolution(t *testing.T) {
 		"naive":    apriori.BackendNaive,
 		"hashtree": apriori.BackendHashTree,
 		"bitmap":   apriori.BackendBitmap,
-		"roaring":  apriori.BackendRoaring,
+		// The removed compressed backend's names are aliases.
+		"roaring":    apriori.BackendBitmap,
+		"compressed": apriori.BackendBitmap,
 	} {
 		mf := MiningFlags{BackendName: name}
 		got, err := mf.Backend()
@@ -121,8 +123,15 @@ func TestCacheBytes(t *testing.T) {
 	if got := (&MiningFlags{CacheMB: 64}).CacheBytes(); got != 64<<20 {
 		t.Errorf("CacheBytes(64MB) = %d", got)
 	}
-	if got := (&MiningFlags{CacheMB: 0}).CacheBytes(); got != 0 {
-		t.Errorf("CacheBytes(0) = %d", got)
+	// -cache 0 must disable the cache everywhere, so it maps to a
+	// negative budget: server.Config reads 0 as "default".
+	for _, mb := range []int{0, -3} {
+		if got := (&MiningFlags{CacheMB: mb}).CacheBytes(); got >= 0 {
+			t.Errorf("CacheBytes(%dMB) = %d, want < 0", mb, got)
+		}
+		if c := core.NewHoldCache((&MiningFlags{CacheMB: mb}).CacheBytes()); c != nil {
+			t.Errorf("-cache %d built a cache", mb)
+		}
 	}
 }
 

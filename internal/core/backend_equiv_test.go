@@ -8,6 +8,7 @@ import (
 	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/gen"
 	"github.com/tarm-project/tarm/internal/itemset"
+	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
 )
@@ -102,8 +103,6 @@ func TestHoldTableBackendEquivalence(t *testing.T) {
 			{apriori.BackendHashTree, 4},
 			{apriori.BackendBitmap, 1},
 			{apriori.BackendBitmap, 4},
-			{apriori.BackendRoaring, 1},
-			{apriori.BackendRoaring, 4},
 		}
 		for _, v := range variants {
 			cfg := base
@@ -115,6 +114,49 @@ func TestHoldTableBackendEquivalence(t *testing.T) {
 			}
 			label := fmt.Sprintf("minsup=%g backend=%v workers=%d", minsup, v.backend, v.workers)
 			sameHoldTable(t, label, want, got)
+		}
+	}
+}
+
+// TestHoldTableAutoCountsWithBitmap pins the backend rule on the shape
+// of the benchmark's s4 table: many short transactions (|T|=4, 400 per
+// day). Auto, and the deprecated roaring name, must count every k≥2
+// pass with bitmap.
+func TestHoldTableAutoCountsWithBitmap(t *testing.T) {
+	tbl, err := gen.GenerateTemporal(gen.TemporalConfig{
+		Quest:        gen.QuestConfig{NItems: 500, NPatterns: 200, AvgTxLen: 4},
+		Start:        time.Date(1998, 1, 1, 0, 0, 0, 0, time.UTC),
+		Granularity:  timegran.Day,
+		NGranules:    28,
+		TxPerGranule: 400,
+	}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []apriori.Backend{apriori.BackendAuto, apriori.BackendRoaring} {
+		collect := obs.NewCollectTracer()
+		if _, err := BuildHoldTable(tbl, Config{
+			Granularity:   timegran.Day,
+			MinSupport:    0.05,
+			MinConfidence: 0.5,
+			MinFreq:       0.8,
+			Backend:       backend,
+			Tracer:        collect,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		passes := 0
+		for _, l := range collect.Stats().Levels {
+			if l.Level < 2 {
+				continue
+			}
+			passes++
+			if l.Backend != "bitmap" {
+				t.Errorf("%v: pass L%d counted with %q, want bitmap", backend, l.Level, l.Backend)
+			}
+		}
+		if passes == 0 {
+			t.Fatalf("%v: no k≥2 pass recorded", backend)
 		}
 	}
 }

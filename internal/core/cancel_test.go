@@ -111,8 +111,8 @@ func TestTaskDriversCancelled(t *testing.T) {
 			_, err := RuleHistoryFromTableContext(ctx, h, itemset.New(bread), itemset.New(milk))
 			return err
 		},
-		"extend": func() error {
-			_, err := h.ExtendContext(ctx, tbl)
+		"maintain": func() error {
+			_, err := h.MaintainContext(ctx, tbl, nil)
 			return err
 		},
 	}

@@ -56,7 +56,8 @@ type Config struct {
 	Workers int
 	// Backend selects the support-counting backend of the per-granule
 	// pass (auto, naive, hashtree, bitmap); see the apriori package.
-	// Auto picks from the data shape after the level-1 scan.
+	// Auto resolves after the level-1 scan: bitmap, unless its index
+	// would exceed the memory bound.
 	Backend apriori.Backend
 	// Tracer receives per-pass telemetry from the hold-table build and
 	// per-task counters from the mining task drivers. Nil disables

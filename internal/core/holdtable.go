@@ -76,8 +76,10 @@ func ceilCount(frac float64, n int) int {
 }
 
 // BuildHoldTable runs the shared level-wise pass over tbl. Each level
-// makes one scan of the span, counting all candidates per granule with
-// a single hash tree that is flushed at granule boundaries (the data is
+// counts all candidates per granule: the bitmap backend intersects
+// item TID bitmaps over one index of the span and slices each
+// intersection into granule counts; the hash-tree fallback scans the
+// span once per level, flushing at granule boundaries (the data is
 // time-ordered, so each granule is a contiguous run).
 func BuildHoldTable(tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
 	return BuildHoldTableContext(context.Background(), tbl, cfg)
@@ -144,20 +146,12 @@ func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// stats feeds the counting cost model: one AddItem per frequent
-	// item with its total occurrences across active granules.
-	stats := apriori.CountStats{N: nActiveTx, Granules: n}
 	var l1 []itemset.Set
 	for x, v := range c1 {
 		if h.frequentSomewhere(v) {
 			s := itemset.Set{x}
 			l1 = append(l1, s)
 			h.counts[s.Key()] = v
-			total := 0
-			for _, c := range v {
-				total += int(c)
-			}
-			stats.AddItem(total)
 		}
 	}
 	itemset.SortSets(l1)
@@ -169,21 +163,12 @@ func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*
 		})
 	}
 
-	// Resolve the counting backend through the cost model, fed the
-	// exact level-1 density histogram; a forced backend keeps the
-	// prediction for its own cost so EXPLAIN can compare it to the
-	// observed time.
-	pred := apriori.Predict(stats)
-	backend := cfg.Backend
-	if backend == apriori.BackendAuto {
-		backend = pred.Choice
-	}
-	if trace {
-		tr.Gauge(obs.MetricCountingPredictedCost, pred.Cost(backend))
-	}
+	// The backend is resolved once, from the exact shape of the bitmap
+	// index the k≥2 passes would build: the active rows and the
+	// granule-frequent items.
+	backend := cfg.Backend.Resolve(apriori.CountStats{N: nActiveTx, Items: len(l1), Granules: n})
 	var countingNS int64
 	var bm *granuleBitmap
-	var rm *granuleRoaring
 
 	prev := l1
 	for k := 2; len(prev) > 1 && (cfg.MaxK == 0 || k <= cfg.MaxK); k++ {
@@ -212,11 +197,6 @@ func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*
 				bm = h.buildGranuleBitmap(ctx, tbl, l1)
 			}
 			perGranule = bm.count(ctx, h, cands, cfg.Workers)
-		case backend == apriori.BackendRoaring:
-			if rm == nil {
-				rm = h.buildGranuleRoaring(ctx, tbl, l1)
-			}
-			perGranule = rm.count(ctx, h, cands, cfg.Workers)
 		case backend == apriori.BackendNaive:
 			perGranule = h.countPerGranuleNaive(ctx, tbl, cands, cfg.Workers)
 		case cfg.Workers > 1:
@@ -516,96 +496,6 @@ func (g *granuleBitmap) count(ctx context.Context, h *HoldTable, cands []itemset
 				v := out[b+i]
 				for gi := range v {
 					if c := apriori.PopcountRange(words, g.rowLo[gi], g.rowHi[gi]); c != 0 {
-						v[gi] = int32(c)
-					}
-				}
-			})
-		}
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		countChunk(0, len(cands))
-		return out
-	}
-	chunks := apriori.PrefixRunChunks(cands, workers)
-	if len(chunks) <= 1 {
-		countChunk(0, len(cands))
-		return out
-	}
-	var wg sync.WaitGroup
-	for _, ch := range chunks {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			countChunk(lo, hi)
-		}(ch[0], ch[1])
-	}
-	wg.Wait()
-	return out
-}
-
-// granuleRoaring is granuleBitmap over the compressed container index:
-// the same row numbering and per-granule row ranges, but candidates
-// intersect through per-container kernels that skip empty containers,
-// and per-granule counts come from container range-counts.
-type granuleRoaring struct {
-	ix    *apriori.RoaringIndex
-	rowLo []int
-	rowHi []int
-}
-
-// buildGranuleRoaring mirrors buildGranuleBitmap over the compressed
-// index; see that function for the row-range construction.
-func (h *HoldTable) buildGranuleRoaring(ctx context.Context, tbl *tdb.TxTable, l1 []itemset.Set) *granuleRoaring {
-	n := h.NGranules()
-	g := &granuleRoaring{rowLo: make([]int, n), rowHi: make([]int, n)}
-	rows := 0
-	for gi := 0; gi < n; gi++ {
-		g.rowLo[gi] = rows
-		if h.Active[gi] {
-			rows += h.TxCounts[gi]
-		}
-		g.rowHi[gi] = rows
-	}
-	keep := make(map[itemset.Item]bool, len(l1))
-	for _, s := range l1 {
-		keep[s[0]] = true
-	}
-	src := apriori.FuncSource{
-		N: rows,
-		Scan: func(fn func(tx itemset.Set)) {
-			h.eachActiveTx(ctx, tbl, func(gi int, tx itemset.Set) { fn(tx) })
-		},
-	}
-	g.ix = apriori.NewRoaringIndex(src, keep)
-	return g
-}
-
-// count is granuleBitmap.count over the compressed index: chunks align
-// to prefix-run boundaries, cancellation is sampled per candidate
-// block, and each intersection is sliced into granule counts by
-// RangeCount over its containers.
-func (g *granuleRoaring) count(ctx context.Context, h *HoldTable, cands []itemset.Set, workers int) [][]int32 {
-	out := make([][]int32, len(cands))
-	for i := range out {
-		out[i] = make([]int32, h.NGranules())
-	}
-	const cancelBlock = 512
-	countChunk := func(lo, hi int) {
-		for b := lo; b < hi; b += cancelBlock {
-			if ctx.Err() != nil {
-				return
-			}
-			e := b + cancelBlock
-			if e > hi {
-				e = hi
-			}
-			g.ix.EachIntersection(cands[b:e], func(i int, acc *apriori.RoaringAcc) {
-				v := out[b+i]
-				for gi := range v {
-					if c := acc.RangeCount(g.rowLo[gi], g.rowHi[gi]); c != 0 {
 						v[gi] = int32(c)
 					}
 				}

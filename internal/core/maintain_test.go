@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -22,8 +23,7 @@ func appendDay(tbl *tdb.TxTable, d, count int, items ...itemset.Item) timegran.G
 }
 
 // TestMaintainInSpanDirty appends into granules strictly inside the old
-// span — the case Extend cannot handle — and checks bit-identity with a
-// cold rebuild.
+// span and checks bit-identity with a cold rebuild.
 func TestMaintainInSpanDirty(t *testing.T) {
 	tbl := buildFixture(t)
 	h, err := BuildHoldTable(tbl, fixtureConfig())
@@ -215,5 +215,116 @@ func TestQuickMaintainEquivalent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMaintainNewWeekMatchesRebuild appends a week after the span end,
+// the production pattern of one new period arriving: a pair frequent
+// only in the new week must be tracked with zero history.
+func TestMaintainNewWeekMatchesRebuild(t *testing.T) {
+	tbl := buildFixture(t)
+	epoch := tbl.Epoch()
+	h, err := BuildHoldTable(tbl, fixtureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 28; d < 35; d++ {
+		appendDay(tbl, d, 8, bread, milk, 7, 8)
+		appendDay(tbl, d, 2, bread, 7, 8)
+	}
+	dirty, _, ok := tbl.DirtySince(timegran.Day, epoch)
+	if !ok {
+		t.Fatal("DirtySince not covered")
+	}
+	m, err := h.MaintainContext(context.Background(), tbl, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := BuildHoldTable(tbl, fixtureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !holdTablesEqual(m, rebuilt) {
+		t.Fatal("Maintain differs from full rebuild")
+	}
+	v := m.Counts(itemset.New(7, 8))
+	if v == nil {
+		t.Fatal("newcomer pair not tracked")
+	}
+	for gi := 0; gi < 28; gi++ {
+		if v[gi] != 0 {
+			t.Errorf("newcomer pair has history count %d at day %d", v[gi], gi)
+		}
+	}
+	for gi := 28; gi < 35; gi++ {
+		if v[gi] != 10 {
+			t.Errorf("newcomer pair count %d at day %d, want 10", v[gi], gi)
+		}
+	}
+}
+
+func TestMaintainErrors(t *testing.T) {
+	tbl := buildFixture(t)
+	h, err := BuildHoldTable(tbl, fixtureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	empty, _ := tdb.NewTxTable("empty")
+	if _, err := h.MaintainContext(ctx, empty, nil); err == nil {
+		t.Error("Maintain on empty table accepted")
+	}
+	if _, err := (&HoldTable{Cfg: h.Cfg}).MaintainContext(ctx, tbl, nil); err == nil {
+		t.Error("Maintain on an unbuilt hold table accepted")
+	}
+}
+
+// TestMaintainThenMine exercises the end-to-end path: mine from a
+// maintained table and from a rebuilt one; identical output.
+func TestMaintainThenMine(t *testing.T) {
+	tbl := buildFixture(t)
+	epoch := tbl.Epoch()
+	h, err := BuildHoldTable(tbl, fixtureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 28; d < 42; d++ {
+		at := fixtureStart.AddDate(0, 0, d)
+		weekend := d%7 == 5 || d%7 == 6
+		for i := 0; i < 10; i++ {
+			items := []itemset.Item{bread}
+			if i < 8 {
+				items = append(items, milk)
+			}
+			if weekend && i < 9 {
+				items = append(items, choc, wine)
+			}
+			tbl.Append(at.Add(time.Duration(i)*time.Minute), itemset.New(items...))
+		}
+	}
+	dirty, _, ok := tbl.DirtySince(timegran.Day, epoch)
+	if !ok {
+		t.Fatal("DirtySince not covered")
+	}
+	maintained, err := h.MaintainContext(context.Background(), tbl, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := MineCyclesFromTable(maintained, CycleConfig{MaxLen: 10, MinReps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, _ := BuildHoldTable(tbl, fixtureConfig())
+	b, err := MineCyclesFromTable(rebuilt, CycleConfig{MaxLen: 10, MinReps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) {
+		t.Fatalf("maintained mining found %d cyclic rules, rebuilt %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].Cycle != b[i].Cycle || !a[i].Rule.Antecedent.Equal(b[i].Rule.Antecedent) {
+			t.Errorf("rule %d differs", i)
+		}
 	}
 }

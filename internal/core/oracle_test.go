@@ -298,8 +298,6 @@ var backendMatrix = []struct {
 	{apriori.BackendHashTree, 3},
 	{apriori.BackendBitmap, 0},
 	{apriori.BackendBitmap, 3},
-	{apriori.BackendRoaring, 0},
-	{apriori.BackendRoaring, 3},
 }
 
 func checkHoldTable(t *testing.T, tag string, h *HoldTable, b *bruteTable) {

@@ -134,8 +134,7 @@ func Execute(ctx context.Context, root *Node, tr obs.Tracer) (any, []OpStat, err
 			tr.StartTask(span)
 			// A request-scoped trace gets each operator's EXPLAIN
 			// details as span attributes, so the span tree carries the
-			// same predicted-backend/threshold annotations EXPLAIN
-			// prints.
+			// same backend/threshold annotations EXPLAIN prints.
 			if t := obs.TraceFromContext(ctx); t != nil {
 				for _, kv := range n.Detail {
 					t.SetAttr(kv.Key, kv.Val)

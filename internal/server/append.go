@@ -10,7 +10,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -57,10 +56,10 @@ type appendResponse struct {
 
 // handleAppend admits and applies one append batch.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	req, err := readAppend(r)
+	req, err := readAppend(w, r)
 	if err != nil {
 		s.reg.Counter(MetricAppendErrors).Add(1)
-		s.reject(w, http.StatusBadRequest, err.Error())
+		s.reject(w, bodyStatus(err), err.Error())
 		return
 	}
 	tbl, ok := s.db.TxTable(req.Table)
@@ -121,11 +120,11 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 // readAppend decodes and validates the append body.
-func readAppend(r *http.Request) (appendRequest, error) {
+func readAppend(w http.ResponseWriter, r *http.Request) (appendRequest, error) {
 	var req appendRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxAppendBody))
+	body, err := readBody(w, r, maxAppendBody)
 	if err != nil {
-		return req, fmt.Errorf("tarmd: reading body: %w", err)
+		return req, err
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		return req, fmt.Errorf("tarmd: bad JSON body: %w", err)

@@ -339,9 +339,9 @@ const maxBody = 1 << 20
 
 // handleStatement admits, executes and renders one statement.
 func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
-	req, err := readStatement(r)
+	req, err := readStatement(w, r)
 	if err != nil {
-		s.reject(w, http.StatusBadRequest, err.Error())
+		s.reject(w, bodyStatus(err), err.Error())
 		return
 	}
 
@@ -481,11 +481,11 @@ func (s *Server) statementError(w http.ResponseWriter, stmt string, err error) {
 
 // readStatement decodes the request body: JSON when declared, raw text
 // otherwise.
-func readStatement(r *http.Request) (statementRequest, error) {
+func readStatement(w http.ResponseWriter, r *http.Request) (statementRequest, error) {
 	var req statementRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
+	body, err := readBody(w, r, maxBody)
 	if err != nil {
-		return req, fmt.Errorf("tarmd: reading body: %w", err)
+		return req, err
 	}
 	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if ct == "application/json" {
@@ -499,6 +499,37 @@ func readStatement(r *http.Request) (statementRequest, error) {
 		return req, fmt.Errorf("tarmd: empty statement")
 	}
 	return req, nil
+}
+
+// readBody reads r's body, at most limit bytes of it. A longer body is
+// an error wrapping *http.MaxBytesError, never a truncated read, so no
+// handler acts on a prefix of what the client sent; bodyStatus answers
+// it with 413.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		return nil, bodyError(err)
+	}
+	return body, nil
+}
+
+// bodyError words a request-body read error, keeping it wrapped.
+func bodyError(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return fmt.Errorf("tarmd: request body exceeds %d bytes: %w", tooLarge.Limit, err)
+	}
+	return fmt.Errorf("tarmd: reading body: %w", err)
+}
+
+// bodyStatus is the status of a request refused for its body: 413 when
+// the body exceeded its size limit, 400 for anything else.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // tableInfo is one GET /v1/tables row.

@@ -181,7 +181,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := tdb.ImportBaskets(http.MaxBytesReader(w, r.Body, maxImportBody), staging, s.db.Dict())
 	if err != nil {
-		fail(http.StatusBadRequest, fmt.Errorf("tarmd: import: %w", err))
+		fail(bodyStatus(err), fmt.Errorf("tarmd: import: %w", err))
 		return
 	}
 	if n == 0 {

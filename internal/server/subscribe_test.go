@@ -158,7 +158,6 @@ func TestStreamingOracleHTTP(t *testing.T) {
 		apriori.BackendNaive,
 		apriori.BackendHashTree,
 		apriori.BackendBitmap,
-		apriori.BackendRoaring,
 	}
 	for _, backend := range backends {
 		backend := backend

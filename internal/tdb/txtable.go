@@ -52,7 +52,7 @@ type TxTable struct {
 	// scan (it detects the gap via the epoch arithmetic).
 	statsPending []itemset.Set
 
-	// Cost-model statistics, cached per write epoch (see CountStats).
+	// Counting statistics, cached per write epoch (see CountStats).
 	// statsCounts is the raw per-item occurrence map the aggregate is
 	// derived from; keeping it lets CountStats absorb appends by
 	// draining statsPending instead of rescanning the table.
@@ -398,9 +398,9 @@ func (t *TxTable) All() apriori.Source {
 	}
 }
 
-// CountStats summarises the table's shape for the counting cost model
-// (internal/apriori): transaction count, distinct items, occurrences
-// and the per-item density histogram. Granules is left 0 for the
+// CountStats summarises the table's shape for the counting backend
+// rule (apriori.Predict): transaction count, distinct items and
+// occurrences. Granules is left 0 for the
 // caller to set from its own span. The scan is cached per write epoch
 // and maintained incrementally under appends: a stale cache drains the
 // pending-append list into the retained per-item count map and

@@ -297,28 +297,36 @@ func explainRows(t *testing.T, ex *Executor, stmtSrc string) map[string][]string
 	return out
 }
 
-// TestExplainCountingCost: every MINE plan carries the cost model's
-// predicted backend and predicted cost, and once the statement has
-// run EXPLAIN also reports the observed counting cost — including the
-// explicit zero of a cache-served run.
+// TestExplainCountingCost: EXPLAIN reports the backend that ran, taken
+// from the pass stats, never a prediction, and once the statement has
+// run it reports the observed counting cost — including the explicit
+// zero of a cache-served run.
 func TestExplainCountingCost(t *testing.T) {
 	db := fixtureDB(t)
 	ex := NewExecutor(db)
 	const stmt = `MINE PERIODS FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7 FREQUENCY 1.0 LIMIT 10`
 
 	plan := strings.Join(planLines(t, ex, stmt), "\n")
-	for _, want := range []string{"predicted_backend=", "predicted_cost="} {
-		if !strings.Contains(plan, want) {
-			t.Errorf("cold plan missing %q:\n%s", want, plan)
-		}
+	if strings.Contains(plan, "predicted") {
+		t.Errorf("cold plan carries a prediction:\n%s", plan)
 	}
 
 	if _, err := ex.Exec(stmt); err != nil {
 		t.Fatal(err)
 	}
 	rows := explainRows(t, ex, stmt)
-	if v := rows["observed: counting cost (predicted)"]; len(v) != 1 || !strings.Contains(v[0], "word-ops") {
-		t.Errorf("predicted counting cost line = %q", v)
+	if v := rows["observed: backend"]; len(v) != 1 || v[0] != "bitmap" {
+		t.Errorf("observed backend line = %q, want bitmap", v)
+	}
+	for _, l := range ex.Last("baskets").Levels {
+		if l.Level >= 2 && l.Backend != "bitmap" {
+			t.Errorf("pass L%d ran %q, EXPLAIN says bitmap", l.Level, l.Backend)
+		}
+	}
+	for k := range rows {
+		if strings.Contains(k, "predicted") {
+			t.Errorf("EXPLAIN still reports %q", k)
+		}
 	}
 	if v := rows["observed: counting cost (observed)"]; len(v) != 1 || !strings.HasSuffix(v[0], "ms") {
 		t.Errorf("observed counting cost line = %q", v)

@@ -155,11 +155,8 @@ func TestExecutorJournal(t *testing.T) {
 	if cold.Task != "cycles" || !strings.Contains(cold.Statement, "MINE CYCLES") {
 		t.Errorf("record statement/task = %q/%q", cold.Statement, cold.Task)
 	}
-	if cold.Backend == "" || cold.PredictedBackend == "" {
-		t.Errorf("backends = %q predicted %q, want both set", cold.Backend, cold.PredictedBackend)
-	}
-	if cold.PredictedCost <= 0 {
-		t.Errorf("predicted cost = %v, want > 0", cold.PredictedCost)
+	if cold.Backend != "bitmap" {
+		t.Errorf("backend = %q, want bitmap (the observed k≥2 backend)", cold.Backend)
 	}
 	if cold.Itemsets <= 0 {
 		t.Errorf("itemsets = %d, want > 0", cold.Itemsets)

@@ -149,10 +149,11 @@ func LoadTxTableSegmented(dir string) (*TxTable, SegmentConfig, error) {
 func NewMemDB() *DB { return tdb.NewMemDB() }
 
 // CountingBackend selects the support-counting strategy of the miners:
-// BackendAuto picks per run with a cost model over the data shape,
-// BackendBitmap is the vertical TID-bitmap backend, BackendRoaring its
-// compressed-container variant, BackendHashTree the classic Apriori
-// hash tree and BackendNaive the reference subset test. Set it on
+// BackendBitmap is the vertical TID-bitmap backend, BackendHashTree the
+// classic Apriori hash tree and BackendNaive the reference subset test.
+// BackendAuto counts with bitmap unless its index would exceed a 512
+// MiB memory bound, then with the hash tree. BackendRoaring is a
+// deprecated name for BackendBitmap. Set it on
 // Config.Backend (temporal tasks) or choose it via the -backend flag of
 // the CLI front ends.
 type CountingBackend = apriori.Backend
@@ -163,11 +164,13 @@ const (
 	BackendNaive    = apriori.BackendNaive
 	BackendHashTree = apriori.BackendHashTree
 	BackendBitmap   = apriori.BackendBitmap
-	BackendRoaring  = apriori.BackendRoaring
+	// Deprecated: BackendRoaring counts with BackendBitmap.
+	BackendRoaring = apriori.BackendRoaring
 )
 
 // ParseBackend parses a backend name ("auto", "naive", "hashtree",
-// "bitmap", "roaring") as used by the -backend CLI flag.
+// "bitmap"; "roaring" is an alias for "bitmap") as used by the -backend
+// CLI flag.
 func ParseBackend(s string) (CountingBackend, error) { return apriori.ParseBackend(s) }
 
 // Mining configuration.
@@ -180,7 +183,7 @@ type (
 	CycleConfig = core.CycleConfig
 	// HoldTable is the shared per-granule counting substrate; build it
 	// once with BuildHoldTable to run several tasks over one pass, and
-	// refresh it incrementally with its Extend method as new
+	// refresh it incrementally with its Maintain method as new
 	// transactions arrive.
 	HoldTable = core.HoldTable
 	// HoldCache is a memory-bounded LRU cache of HoldTables that serves
